@@ -28,13 +28,13 @@ def scripted() -> None:
         print(f"  C: {line}")
     print("  --")
     # run_session takes lines exactly as the wire would deliver them
-    for reply in run_session([line + "\n" for line in SCRIPT], base_seed=0):
+    for reply in run_session([line + "\n" for line in SCRIPT]):
         print(f"  S: {reply.rstrip()}")
 
 
 def over_tcp() -> None:
     print("\nsame conversation over TCP")
-    server = FusionServer(("127.0.0.1", 0), base_seed=0)
+    server = FusionServer(("127.0.0.1", 0))
     port = server.server_address[1]
     t = threading.Thread(target=server.serve_forever, daemon=True)
     t.start()

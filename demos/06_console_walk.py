@@ -1,10 +1,10 @@
 """Drive the episode console the way the `mmfuse repl` command does.
 
-The console owns a simulated arm and a fusion session. `g NAME` plays one
-capture through the gesture model (`g none` is a miss); when a failed
-capture is noticed, the console waits for an `s "..."` utterance inside
-the fallback window. `tick MS` advances the clock, `state` prints the arm
-and fusion state, `quit` leaves.
+The console owns a simulated arm and a fusion session. `g NAME` delivers
+one band capture (`g none` is an empty window); after an empty capture,
+the console waits for an `s "..."` utterance inside the fallback window.
+`tick MS` advances the clock, `state` prints the arm and fusion state,
+`quit` leaves.
 """
 
 import io
@@ -26,7 +26,7 @@ SCRIPT = [
 
 
 def main() -> None:
-    session = ReplSession(seed=11)
+    session = ReplSession()
     for line in SCRIPT:
         print(f"> {line}")
         out = io.StringIO()

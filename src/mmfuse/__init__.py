@@ -65,7 +65,6 @@ from .harness import (
     ItemStats,
     Modality,
     ModalityTable,
-    TrialRecord,
     default_fusion_config,
     fused_error_summary,
     mean_accuracy,

@@ -105,11 +105,6 @@ def new_arm() -> ArmState:
     return ArmState(servos=servos, gripper=GripperState.OPEN, log=())
 
 
-def reset(state: ArmState) -> ArmState:
-    """Back to the home pose. The old log is dropped, not carried over."""
-    return new_arm()
-
-
 def _clamp(angle: float) -> float:
     return min(max(angle, ANGLE_MIN), ANGLE_MAX)
 

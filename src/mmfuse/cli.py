@@ -21,7 +21,7 @@ from typing import List, Optional
 from . import harness
 from .config import AppConfig, ConfigError, PORT_ENV_VAR, resolve_config
 from .emg import CalibrationError, calibrate_noise
-from .fusion import calibrate_detection
+from .fusion import InfeasibleTargetError, calibrate_detection
 from .report import emit_chart, emit_report
 from .seeding import make_rng
 from .vocab import (
@@ -125,7 +125,10 @@ def _cmd_calibrate(args, cfg: AppConfig, out) -> int:
         g = gmodel.error_rate(op.gesture)
         s = smodel.error_rate(op.speech)
         target = harness.TABLE4_TARGET_ERROR_PCT[op] / 100.0
-        cal = calibrate_detection(g, s, target)
+        try:
+            cal = calibrate_detection(g, s, target)
+        except InfeasibleTargetError as e:
+            raise _CliError(f"cannot calibrate {op.label}: {e}") from e
         print(
             f"{op.label:<{width}}  {g:.3f}  {s:.3f}  {target:.3f}   "
             f"{cal.d:.6f} ({cal.status.value})",
@@ -170,7 +173,7 @@ def _cmd_serve(args, cfg: AppConfig, out) -> int:
 
     print(f"fusion server listening on {args.host}:{port}", file=out)
     try:
-        serve(port=port, host=args.host, cfg=cfg.fusion_config(), base_seed=cfg.seed)
+        serve(port=port, host=args.host, cfg=cfg.fusion_config())
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     return 0
@@ -179,7 +182,7 @@ def _cmd_serve(args, cfg: AppConfig, out) -> int:
 def _cmd_repl(args, cfg: AppConfig, out) -> int:
     from .repl import run_repl
 
-    return run_repl(cfg=cfg.fusion_config(), seed=cfg.seed)
+    return run_repl(cfg=cfg.fusion_config())
 
 
 def _cmd_report(args, cfg: AppConfig, out) -> int:

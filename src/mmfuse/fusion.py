@@ -31,11 +31,11 @@ from .speech import (
 from .vocab import (
     ArmAction,
     FusionOperation,
+    Gesture,
     FUSION_OPERATIONS,
     SpeechCommand,
     action_for_command,
     action_for_gesture,
-    operation_for_gesture,
 )
 
 #: Simulated capture latency of the band, milliseconds after episode start.
@@ -121,17 +121,18 @@ class FusionConfig:
 # ---------------------------------------------------------------------------
 # States. Transitions:
 #
-#   Idle --begin_episode--> AwaitingGesture
-#   AwaitingGesture --capture Correct--------------------> Emitting  (command)
-#   AwaitingGesture --capture Wrong, undetected----------> Emitting  (command,
-#                                                          silently wrong)
-#   AwaitingGesture --capture Wrong, detected------------> SpeechFallback
-#   AwaitingGesture --capture Missed or window expiry----> SpeechFallback
+#   Idle or Emitting --begin_episode---------------------> AwaitingGesture
+#   AwaitingGesture --any capture------------------------> Emitting  (command;
+#                                                          silently wrong when
+#                                                          the capture is)
+#   AwaitingGesture --empty capture or window expiry-----> SpeechFallback
 #   SpeechFallback --utterance matching a known command--> Emitting  (command)
 #   SpeechFallback --any other utterance------------------> Idle  (error)
 #   SpeechFallback --window expiry------------------------> Idle  (error)
 #
-# Emitting is terminal for the episode; reset() returns to Idle.
+# Emitting is terminal for the episode; the next capture opens a new one
+# (see capture_gesture). A wrong capture the detector caught reaches the
+# machine as an empty capture, so the machine itself draws nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +204,6 @@ def step(
     state: FusionState,
     event: Union[ModalityEvent, ClockTick],
     cfg: FusionConfig,
-    rng: np.random.Generator,
 ) -> StepResult:
     """Advance the fusion machine by one event or tick.
 
@@ -212,7 +212,8 @@ def step(
     have no meaning in the current state (speech while the gesture window is
     open, anything after emission) are ignored, matching the priority rule
     that the gesture channel owns the episode until it is known to have
-    failed.
+    failed. Deterministic: the same state, event and config always give the
+    same result.
     """
     if isinstance(state, Emitting):
         return state, None
@@ -221,7 +222,7 @@ def step(
         return _step_tick(state, event, cfg)
 
     if event.source is EventSource.GESTURE:
-        return _step_gesture(state, event, cfg, rng)
+        return _step_gesture(state, event, cfg)
     return _step_speech(state, event)
 
 
@@ -240,37 +241,21 @@ def _step_tick(
 
 
 def _step_gesture(
-    state: FusionState,
-    event: ModalityEvent,
-    cfg: FusionConfig,
-    rng: np.random.Generator,
+    state: FusionState, event: ModalityEvent, cfg: FusionConfig
 ) -> StepResult:
     if not isinstance(state, AwaitingGesture):
         # fallback already active or no episode armed; band input is stale
         return state, None
-    outcome: GestureOutcome = event.payload  # type: ignore[assignment]
-    if outcome.kind is OutcomeKind.CORRECT:
-        cmd = FusedCommand(
-            action=action_for_gesture(outcome.captured),
-            source=CommandSource.GESTURE,
-            t_ms=event.t_ms,
-        )
-        return Emitting(), cmd
-    if outcome.kind is OutcomeKind.MISSED:
+    captured = event.payload.captured  # type: ignore[union-attr]
+    if captured is None:
         # equivalent to the window expiring: no capture to act on
         return (
             SpeechFallback(deadline_ms=event.t_ms + cfg.fallback_window_ms),
             None,
         )
-    # wrong capture: caught with probability d, otherwise acted on blindly
-    d = cfg.detection_prob(operation_for_gesture(outcome.intended))
-    if rng.random() < d:
-        return (
-            SpeechFallback(deadline_ms=event.t_ms + cfg.fallback_window_ms),
-            None,
-        )
+    # the machine cannot tell a wrong capture from a correct one
     cmd = FusedCommand(
-        action=action_for_gesture(outcome.captured),
+        action=action_for_gesture(captured),
         source=CommandSource.GESTURE,
         t_ms=event.t_ms,
     )
@@ -297,9 +282,22 @@ def _step_speech(state: FusionState, event: ModalityEvent) -> StepResult:
     return Emitting(), fused
 
 
-def reset(state: FusionState) -> Idle:
-    """Ready the machine for the next episode."""
-    return Idle()
+def capture_gesture(
+    state: FusionState, g: Gesture, t_ms: int, seq: int, cfg: FusionConfig
+) -> StepResult:
+    """Deliver one band capture as the wire and the console report it.
+
+    A reported capture carries no intent, so ``g`` is acted on as captured
+    and ``Gesture.NONE`` is an empty window. An idle or finished machine
+    opens a fresh episode at ``t_ms`` first.
+    """
+    if isinstance(state, (Idle, Emitting)):
+        state = begin_episode(t_ms, cfg)
+    if g is Gesture.NONE:
+        outcome = GestureOutcome(kind=OutcomeKind.MISSED, intended=g, captured=None)
+    else:
+        outcome = GestureOutcome(kind=OutcomeKind.CORRECT, intended=g, captured=g)
+    return step(state, ModalityEvent(EventSource.GESTURE, t_ms, outcome, seq), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +469,13 @@ def run_episode(
     """One fused episode through the state machine; returns a TrialCode.
 
     The gesture channel fails with the model's error rate for the intended
-    gesture, and every failure surfaces as a wrong capture.  That matches the
-    closed-form algebra, where the detection probability d gates all gesture
-    failures alike; an absent capture is deterministically noticed anyway, so
-    folding it into the detected path would change nothing the algebra sees.
+    gesture, and every failure surfaces as a wrong capture.  Only this
+    driver knows the intent, so it draws the detector here: a caught wrong
+    capture reaches the machine as an empty capture, which opens the speech
+    fallback, and an uncaught one is acted on.  That matches the closed-form
+    algebra, where the detection probability d gates all gesture failures
+    alike.  Draw order per episode: failure, confusable gesture, detection
+    (the last two only on failure), then speech inside the fallback.
     """
     intended_action = action_for_gesture(op.gesture)
     model = models.gesture
@@ -482,9 +483,15 @@ def run_episode(
 
     if rng.random() < model.error_rate(op.gesture):
         captured = model.draw_confusable(op.gesture, rng)
-        outcome = GestureOutcome(
-            kind=OutcomeKind.WRONG, intended=op.gesture, captured=captured
-        )
+        if rng.random() < cfg.detection_prob(op):
+            # the detector caught it: the machine sees an empty capture
+            outcome = GestureOutcome(
+                kind=OutcomeKind.MISSED, intended=op.gesture, captured=None
+            )
+        else:
+            outcome = GestureOutcome(
+                kind=OutcomeKind.WRONG, intended=op.gesture, captured=captured
+            )
     else:
         outcome = GestureOutcome(
             kind=OutcomeKind.CORRECT, intended=op.gesture, captured=op.gesture
@@ -493,7 +500,7 @@ def run_episode(
     event = ModalityEvent(
         source=EventSource.GESTURE, t_ms=t_gesture, payload=outcome, seq=gesture_seq
     )
-    state, result = step(state, event, cfg, rng)
+    state, result = step(state, event, cfg)
 
     if isinstance(state, SpeechFallback):
         utterance = sample_recognition(op.speech, models.speech, rng)
@@ -503,7 +510,7 @@ def run_episode(
             payload=utterance,
             seq=speech_seq,
         )
-        state, result = step(state, event, cfg, rng)
+        state, result = step(state, event, cfg)
 
     assert result is not None, "episode must terminate in a command or error"
     return _classify_result(result, intended_action)
@@ -530,7 +537,7 @@ def fused_error_trials(
 ) -> float:
     """Vectorized Monte Carlo of the fused channel at abstract rates.
 
-    Statistically identical to driving step() with a gesture channel that
+    Statistically identical to run_episode() with a gesture channel that
     fails at rate g (as wrong captures), a detector that fires with
     probability d, and a fallback that fails at rate s; usable on dense
     (g, s, d) grids where per-episode stepping would be too slow.

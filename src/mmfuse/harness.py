@@ -22,7 +22,6 @@ from .emg import GestureOutcomeModel, default_gesture_model
 from .fusion import (
     CalibrationStatus,
     FusionConfig,
-    FusionTrials,
     ModalityModels,
     calibrate_detection,
     default_models,
@@ -37,6 +36,7 @@ from .vocab import (
     GESTURES,
     Gesture,
     SpeechCommand,
+    operation_for_command,
 )
 
 # ---------------------------------------------------------------------------
@@ -53,13 +53,6 @@ TABLE4_BLOCK_COUNTS: dict[FusionOperation, tuple[int, ...]] = {}
 TABLE4_TARGET_VARIANCE: dict[FusionOperation, float] = {}
 
 
-def _op_for(command: SpeechCommand) -> FusionOperation:
-    for op in FUSION_OPERATIONS:
-        if op.speech is command:
-            return op
-    raise LookupError(command)
-
-
 for _cmd, _counts in {
     SpeechCommand.MOVE_GRIPPER: (7, 2, 2, 4),
     SpeechCommand.MOVE_DOWN: (3, 1, 2, 2),
@@ -67,7 +60,7 @@ for _cmd, _counts in {
     SpeechCommand.MOVE_LEFT: (0, 3, 2, 2),
     SpeechCommand.MOVE_RIGHT: (3, 3, 4, 2),
 }.items():
-    _op = _op_for(_cmd)
+    _op = operation_for_command(_cmd)
     TABLE4_BLOCK_COUNTS[_op] = _counts
     TABLE4_TARGET_ERROR_PCT[_op] = 100.0 * sum(_counts) / 200.0
     TABLE4_TARGET_VARIANCE[_op] = statistics.variance(_counts)
@@ -79,16 +72,6 @@ class Modality(Enum):
 
 
 ModalityItem = Union[Gesture, SpeechCommand]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial of one item, for small traced runs."""
-
-    item: Union[ModalityItem, FusionOperation]
-    trial_index: int
-    ok: bool
-    error_kind: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -227,18 +210,6 @@ def run_fusion_experiment(
     rng = make_rng(derive_seed(seed, op_index))
     trials = simulate_fused_operation(op, models, cfg, blocks * block_size, rng)
     return BlockStats.from_counts(trials.block_error_counts(block_size), block_size)
-
-
-def trial_records(trials: FusionTrials) -> list[TrialRecord]:
-    """Expand a fused batch into per-trial records (small runs only)."""
-    from .fusion import TrialCode, _ERROR_KIND_FOR_CODE
-
-    out = []
-    for i, code in enumerate(trials.codes.tolist()):
-        ok = code not in TrialCode.ERROR_CODES
-        kind = None if ok else _ERROR_KIND_FOR_CODE[code].value
-        out.append(TrialRecord(item=trials.op, trial_index=i, ok=ok, error_kind=kind))
-    return out
 
 
 def mean_accuracy(correct_percentages: Iterable[float]) -> float:

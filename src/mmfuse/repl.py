@@ -33,13 +33,12 @@ from .fusion import (
     Idle,
     ModalityEvent,
     SpeechFallback,
-    begin_episode,
+    StepResult,
+    capture_gesture,
     step,
 )
-from .emg import GestureOutcome, OutcomeKind
-from .seeding import make_rng
 from .speech import RawUtterance
-from .vocab import Gesture, parse_gesture_name
+from .vocab import parse_gesture_name
 
 _USAGE = (
     'commands: g <gesture|none>, s "<utterance>", tick <ms>, state, reset, quit'
@@ -62,9 +61,8 @@ def _state_name(state: FusionState) -> str:
 class ReplSession:
     """One interactive session; drives a fusion machine and a simulated arm."""
 
-    def __init__(self, cfg: Optional[FusionConfig] = None, seed: int = 0) -> None:
+    def __init__(self, cfg: Optional[FusionConfig] = None) -> None:
         self.cfg = cfg if cfg is not None else FusionConfig.uniform(1.0)
-        self.rng = make_rng(seed)
         self.state: FusionState = Idle()
         self.arm: ArmState = new_arm()
         self.t_ms = 0
@@ -82,9 +80,9 @@ class ReplSession:
         elif isinstance(result, FusionError):
             print(f"ERROR {result.kind.value} at {result.t_ms} ms", file=out)
 
-    def _deliver(self, event, out: IO[str]) -> None:
+    def _advance(self, stepped: StepResult, out: IO[str]) -> None:
         before = self.state
-        self.state, result = step(self.state, event, self.cfg, self.rng)
+        self.state, result = stepped
         if isinstance(self.state, SpeechFallback) and not isinstance(
             before, SpeechFallback
         ):
@@ -97,19 +95,8 @@ class ReplSession:
     def do_gesture(self, token: str, out: IO[str]) -> None:
         g = parse_gesture_name(token)
         self.t_ms += _CAPTURE_SPACING_MS
-        if isinstance(self.state, (Idle, Emitting)):
-            self.state = begin_episode(self.t_ms, self.cfg)
-        if g is Gesture.NONE:
-            outcome = GestureOutcome(
-                kind=OutcomeKind.MISSED, intended=Gesture.NONE, captured=None
-            )
-        else:
-            outcome = GestureOutcome(kind=OutcomeKind.CORRECT, intended=g, captured=g)
-        event = ModalityEvent(
-            source=EventSource.GESTURE, t_ms=self.t_ms, payload=outcome, seq=self.seq
-        )
+        self._advance(capture_gesture(self.state, g, self.t_ms, self.seq, self.cfg), out)
         self.seq += 1
-        self._deliver(event, out)
 
     def do_speech(self, text: str, out: IO[str]) -> None:
         self.t_ms += _CAPTURE_SPACING_MS
@@ -123,11 +110,11 @@ class ReplSession:
         if isinstance(self.state, (Idle, Emitting)):
             print("no episode waiting on speech; capture a gesture first", file=out)
             return
-        self._deliver(event, out)
+        self._advance(step(self.state, event, self.cfg), out)
 
     def do_tick(self, ms: int, out: IO[str]) -> None:
         self.t_ms += ms
-        self._deliver(ClockTick(self.t_ms), out)
+        self._advance(step(self.state, ClockTick(self.t_ms), self.cfg), out)
         print(f"clock at {self.t_ms} ms", file=out)
 
     def do_state(self, out: IO[str]) -> None:
@@ -179,12 +166,11 @@ def run_repl(
     stdin: Optional[IO[str]] = None,
     stdout: Optional[IO[str]] = None,
     cfg: Optional[FusionConfig] = None,
-    seed: int = 0,
 ) -> int:
     """Read commands until quit or EOF; returns the process exit code."""
     inp = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
-    session = ReplSession(cfg=cfg, seed=seed)
+    session = ReplSession(cfg=cfg)
     interactive = inp is sys.stdin and sys.stdin.isatty()
     if interactive:
         print(_USAGE, file=out)

@@ -5,7 +5,7 @@ Every stochastic operation in this package takes an explicit
 The fixed bit generator is PCG64, whose output for a given seed is stable
 across platforms and numpy releases.
 
-Derived streams (per trial, per item, per server session) use the documented
+Derived streams (per item, per operation, per experiment) use the documented
 rule ``child = (base_seed XOR index) & (2**64 - 1)``; the child seed is then
 run through numpy's SeedSequence, so nearby seeds still yield independent
 streams.

@@ -6,9 +6,10 @@ timestamps carried by events, never against wall-clock arrival, so a recorded
 session replays byte-identically.
 
 Wire captures carry no information about what the operator intended, so a
-wrong capture arrives looking like a correct capture of some other gesture.
-The detection probability therefore never fires on served sessions; it
-matters only to the local simulation drivers, which do know intent.
+wrong capture arrives looking like a correct capture of some other gesture,
+and one the band's detector caught arrives as an empty capture (``NONE``).
+Sessions therefore draw no randomness: the replies depend only on the lines
+and the fusion config.
 
 Error codes: 400 protocol violation and 409 ordering violation close the
 connection; 503 (fallback failed) and 504 (window expired) report a failed
@@ -18,11 +19,9 @@ episode and leave the session open for the next one.
 from __future__ import annotations
 
 import socketserver
-import threading
 from typing import Iterable, List, Optional, Tuple
 
 from . import protocol as wire
-from .emg import GestureOutcome, OutcomeKind
 from .fusion import (
     ClockTick,
     EventSource,
@@ -32,14 +31,11 @@ from .fusion import (
     FusionErrorKind,
     FusionState,
     Idle,
-    Emitting,
     ModalityEvent,
-    begin_episode,
+    capture_gesture,
     step,
 )
-from .seeding import derive_seed, make_rng
 from .speech import RawUtterance
-from .vocab import Gesture
 
 _FUSION_ERR_CODES = {
     FusionErrorKind.FALLBACK_FAILED: (503, "fallback failed"),
@@ -60,10 +56,9 @@ def _fused_line(cmd: FusedCommand) -> str:
 class Session:
     """Protocol state for one connection; strictly serial message handling."""
 
-    def __init__(self, cfg: Optional[FusionConfig] = None, rng=None) -> None:
-        # d is never consulted on served sessions (see module docstring)
+    def __init__(self, cfg: Optional[FusionConfig] = None) -> None:
+        # only the window length matters here; d is drawn by the simulator
         self.cfg = cfg if cfg is not None else FusionConfig.uniform(1.0)
-        self.rng = rng if rng is not None else make_rng(0)
         self.state: FusionState = Idle()
         self.greeted = False
         self.closed = False
@@ -116,37 +111,18 @@ class Session:
         replies = [wire.encode(wire.Ack(seq=msg.seq))]
 
         # advance the clock to the event time first so expiries fire in order
-        self.state, result = step(self.state, ClockTick(msg.t_ms), self.cfg, self.rng)
+        self.state, result = step(self.state, ClockTick(msg.t_ms), self.cfg)
         self._absorb(result, replies)
 
         if msg.source is EventSource.GESTURE:
             g = wire.gesture_from_token(msg.payload)
-            if isinstance(self.state, (Idle, Emitting)):
-                # a band window opens a fresh episode
-                self.state = begin_episode(msg.t_ms, self.cfg)
-            if g is Gesture.NONE:
-                outcome = GestureOutcome(
-                    kind=OutcomeKind.MISSED, intended=Gesture.NONE, captured=None
-                )
-            else:
-                outcome = GestureOutcome(
-                    kind=OutcomeKind.CORRECT, intended=g, captured=g
-                )
-            event = ModalityEvent(
-                source=EventSource.GESTURE,
-                t_ms=msg.t_ms,
-                payload=outcome,
-                seq=msg.seq,
+            self.state, result = capture_gesture(
+                self.state, g, msg.t_ms, msg.seq, self.cfg
             )
         else:
-            event = ModalityEvent(
-                source=EventSource.SPEECH,
-                t_ms=msg.t_ms,
-                payload=RawUtterance(text=msg.payload, spoken=None),
-                seq=msg.seq,
-            )
-
-        self.state, result = step(self.state, event, self.cfg, self.rng)
+            utterance = RawUtterance(text=msg.payload, spoken=None)
+            event = ModalityEvent(EventSource.SPEECH, msg.t_ms, utterance, msg.seq)
+            self.state, result = step(self.state, event, self.cfg)
         self._absorb(result, replies)
         return replies, True
 
@@ -159,11 +135,12 @@ def run_session(
 ) -> List[str]:
     """Feed a whole transcript through a fresh session; return all replies.
 
-    Deterministic: the same lines, seed, and session index always produce
-    byte-identical output. This is the replay path used by tests and tools.
+    Deterministic: the same lines and config always produce byte-identical
+    output. ``base_seed`` and ``session_index`` are accepted for callers that
+    name a replay, but the replies do not depend on them. This is the replay
+    path used by tests and tools.
     """
-    rng = make_rng(derive_seed(base_seed, session_index))
-    session = Session(cfg=cfg, rng=rng)
+    session = Session(cfg=cfg)
     out: List[str] = []
     for line in lines:
         replies, keep = session.handle_line(line)
@@ -176,7 +153,7 @@ def run_session(
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         server: FusionServer = self.server  # type: ignore[assignment]
-        session = server._new_session()
+        session = Session(cfg=server.cfg)
         while True:
             raw = self.rfile.readline()
             if not raw:
@@ -203,20 +180,9 @@ class FusionServer(socketserver.ThreadingTCPServer):
         self,
         address: Tuple[str, int] = ("127.0.0.1", wire.DEFAULT_PORT),
         cfg: Optional[FusionConfig] = None,
-        base_seed: int = 0,
     ) -> None:
         super().__init__(address, _Handler)
         self.cfg = cfg
-        self.base_seed = base_seed
-        self._session_counter = 0
-        self._counter_lock = threading.Lock()
-
-    def _new_session(self) -> Session:
-        with self._counter_lock:
-            index = self._session_counter
-            self._session_counter += 1
-        rng = make_rng(derive_seed(self.base_seed, index))
-        return Session(cfg=self.cfg, rng=rng)
 
     @property
     def port(self) -> int:
@@ -227,8 +193,7 @@ def serve(
     port: int = wire.DEFAULT_PORT,
     host: str = "127.0.0.1",
     cfg: Optional[FusionConfig] = None,
-    base_seed: int = 0,
 ) -> None:  # pragma: no cover - blocking entry point
     """Run the fusion server until interrupted."""
-    with FusionServer((host, port), cfg=cfg, base_seed=base_seed) as srv:
+    with FusionServer((host, port), cfg=cfg) as srv:
         srv.serve_forever()

@@ -11,7 +11,6 @@ from mmfuse.arm import (
     apply_pin_high,
     log_to_csv,
     new_arm,
-    reset,
 )
 from mmfuse.seeding import make_rng
 from mmfuse.vocab import Gesture, action_for_gesture
@@ -86,13 +85,6 @@ def test_apply_action_matches_pin_semantics():
     direct = apply_pin_high(new_arm(), 5, 10)
     via_action = apply_action(new_arm(), action_for_gesture(Gesture.WAVE_OUT), 10)
     assert [s.angle for s in direct.servos] == [s.angle for s in via_action.servos]
-
-
-def test_reset_returns_fresh_arm():
-    a = apply_pin_high(new_arm(), 3, 10)
-    r = reset(a)
-    assert all(s.angle == 90.0 for s in r.servos)
-    assert r.log == ()
 
 
 def test_log_records_every_event():

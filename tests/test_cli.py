@@ -113,6 +113,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "version" in err
 
 
+def test_calibrate_unreachable_target_exits_2(tmp_path):
+    # at g = 0.30 the fist operation's 4% target is below the floor g * s
+    cfg = tmp_path / "fuse.yaml"
+    cfg.write_text("version: 1\nemg:\n  error_rates: {fist: 0.30}\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "mmfuse.cli", "--config", str(cfg), "calibrate"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Move Down & Fist" in out.stderr
+
+
 def test_config_env_var(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "fuse.yaml"
     cfg.write_text("version: 1\nseed: 11\n")

@@ -28,7 +28,6 @@ from mmfuse.fusion import (
     closed_form_fused_error,
     default_models,
     fused_error_trials,
-    reset,
     run_episode,
     simulate_fused_operation,
     step,
@@ -81,9 +80,9 @@ def test_begin_episode_arms_gesture_window():
     assert state == AwaitingGesture(deadline_ms=1000 + DEFAULT_FALLBACK_WINDOW_MS)
 
 
-def test_correct_gesture_emits_gesture_command(rng):
+def test_correct_gesture_emits_gesture_command():
     state = begin_episode(0, CFG)
-    state, out = step(state, correct(Gesture.WAVE_OUT, 250), CFG, rng)
+    state, out = step(state, correct(Gesture.WAVE_OUT, 250), CFG)
     assert isinstance(state, Emitting)
     assert out == FusedCommand(
         action=action_for_gesture(Gesture.WAVE_OUT),
@@ -92,9 +91,9 @@ def test_correct_gesture_emits_gesture_command(rng):
     )
 
 
-def test_missed_gesture_opens_fallback(rng):
+def test_missed_gesture_opens_fallback():
     state = begin_episode(0, CFG)
-    state, out = step(state, missed(Gesture.FIST, 250), CFG, rng)
+    state, out = step(state, missed(Gesture.FIST, 250), CFG)
     assert state == SpeechFallbackAt(250)
     assert out is None
 
@@ -105,26 +104,49 @@ def SpeechFallbackAt(t_ms: int):
     return SpeechFallback(deadline_ms=t_ms + DEFAULT_FALLBACK_WINDOW_MS)
 
 
+def test_wrong_capture_emits_captured_gesture_action():
+    # step cannot tell a wrong capture from a correct one: it acts on it
+    state = begin_episode(0, CFG)
+    state, out = step(state, wrong(Gesture.FIST, Gesture.WAVE_IN, 250), CFG)
+    assert isinstance(state, Emitting)
+    assert out == FusedCommand(
+        action=action_for_gesture(Gesture.WAVE_IN),
+        source=CommandSource.GESTURE,
+        t_ms=250,
+    )
+
+
+def _always_failing_models():
+    from mmfuse.emg import GestureOutcomeModel
+    from mmfuse.fusion import ModalityModels
+
+    rates = {g: 1.0 for g in Gesture if g is not Gesture.NONE}
+    return ModalityModels(
+        gesture=GestureOutcomeModel.from_error_rates(rates),
+        speech=default_models().speech,
+    )
+
+
 def test_detected_wrong_gesture_opens_fallback(rng):
-    state = begin_episode(0, CFG)  # d = 1: always detected
-    state, out = step(state, wrong(Gesture.FIST, Gesture.WAVE_IN, 250), CFG, rng)
-    assert state == SpeechFallbackAt(250)
-    assert out is None
+    # d = 1: every failed capture is caught, so speech decides every episode
+    models = _always_failing_models()
+    for op in FUSION_OPERATIONS:
+        codes = {run_episode(op, models, CFG, rng) for _ in range(200)}
+        assert codes <= {TrialCode.EMIT_SPEECH, TrialCode.FALLBACK_FAILED}
 
 
 def test_undetected_wrong_gesture_emits_blindly(rng):
-    cfg = FusionConfig.uniform(0.0)  # d = 0: never detected
-    state = begin_episode(0, cfg)
-    state, out = step(state, wrong(Gesture.FIST, Gesture.WAVE_IN, 250), cfg, rng)
-    assert isinstance(state, Emitting)
-    assert out.source is CommandSource.GESTURE
-    # the wrong capture is what gets acted on
-    assert out.action == action_for_gesture(Gesture.WAVE_IN)
+    # d = 0: no failed capture is caught, so each drives the wrong action
+    models = _always_failing_models()
+    cfg = FusionConfig.uniform(0.0)
+    for op in FUSION_OPERATIONS:
+        codes = {run_episode(op, models, cfg, rng) for _ in range(200)}
+        assert codes == {TrialCode.UNDETECTED_WRONG}
 
 
-def test_speech_in_fallback_emits_speech_command(rng):
+def test_speech_in_fallback_emits_speech_command():
     state = SpeechFallbackAt(250)
-    state, out = step(state, spoken("move left", 750), CFG, rng)
+    state, out = step(state, spoken("move left", 750), CFG)
     assert isinstance(state, Emitting)
     assert out == FusedCommand(
         action=action_for_command(SpeechCommand.MOVE_LEFT),
@@ -133,68 +155,64 @@ def test_speech_in_fallback_emits_speech_command(rng):
     )
 
 
-def test_speech_normalizes_case_and_spacing(rng):
+def test_speech_normalizes_case_and_spacing():
     state = SpeechFallbackAt(250)
-    _, out = step(state, spoken("  Move   LEFT ", 750), CFG, rng)
+    _, out = step(state, spoken("  Move   LEFT ", 750), CFG)
     assert isinstance(out, FusedCommand)
 
 
-def test_garbled_speech_fails_fallback(rng):
+def test_garbled_speech_fails_fallback():
     state = SpeechFallbackAt(250)
-    state, out = step(state, spoken("move left move left", 750), CFG, rng)
+    state, out = step(state, spoken("move left move left", 750), CFG)
     assert isinstance(state, Idle)
     assert out == FusionError(FusionErrorKind.FALLBACK_FAILED, 750)
 
 
-def test_late_speech_expires_window(rng):
+def test_late_speech_expires_window():
     state = SpeechFallbackAt(250)
-    state, out = step(state, spoken("move left", 2250), CFG, rng)
+    state, out = step(state, spoken("move left", 2250), CFG)
     assert isinstance(state, Idle)
     assert out == FusionError(FusionErrorKind.WINDOW_EXPIRED, 2250)
 
 
-def test_tick_expires_gesture_window_into_fallback(rng):
+def test_tick_expires_gesture_window_into_fallback():
     state = begin_episode(0, CFG)
-    state, out = step(state, ClockTick(2000), CFG, rng)
+    state, out = step(state, ClockTick(2000), CFG)
     assert state == SpeechFallbackAt(2000)
     assert out is None
 
 
-def test_tick_expires_fallback_window(rng):
+def test_tick_expires_fallback_window():
     state = SpeechFallbackAt(0)
-    state, out = step(state, ClockTick(2000), CFG, rng)
+    state, out = step(state, ClockTick(2000), CFG)
     assert isinstance(state, Idle)
     assert out == FusionError(FusionErrorKind.WINDOW_EXPIRED, 2000)
 
 
-def test_early_tick_is_noop(rng):
+def test_early_tick_is_noop():
     state = begin_episode(0, CFG)
-    assert step(state, ClockTick(1999), CFG, rng) == (state, None)
+    assert step(state, ClockTick(1999), CFG) == (state, None)
 
 
-def test_speech_ignored_while_gesture_window_open(rng):
+def test_speech_ignored_while_gesture_window_open():
     state = begin_episode(0, CFG)
-    assert step(state, spoken("move left", 100), CFG, rng) == (state, None)
+    assert step(state, spoken("move left", 100), CFG) == (state, None)
 
 
-def test_gesture_ignored_in_fallback(rng):
+def test_gesture_ignored_in_fallback():
     state = SpeechFallbackAt(250)
-    assert step(state, correct(Gesture.FIST, 500), CFG, rng) == (state, None)
+    assert step(state, correct(Gesture.FIST, 500), CFG) == (state, None)
 
 
-def test_gesture_ignored_when_idle(rng):
+def test_gesture_ignored_when_idle():
     state = Idle()
-    assert step(state, correct(Gesture.FIST, 500), CFG, rng) == (state, None)
+    assert step(state, correct(Gesture.FIST, 500), CFG) == (state, None)
 
 
-def test_emitting_absorbs_everything(rng):
+def test_emitting_absorbs_everything():
     state = Emitting()
     for event in (correct(Gesture.FIST, 900), spoken("move up", 901), ClockTick(99999)):
-        assert step(state, event, CFG, rng) == (state, None)
-
-
-def test_reset_returns_idle():
-    assert reset(Emitting()) == Idle()
+        assert step(state, event, CFG) == (state, None)
 
 
 def test_event_payload_type_enforced():

@@ -19,7 +19,6 @@ from mmfuse.harness import (
     run_fusion_experiment,
     run_modality_experiment,
     run_reference_experiments,
-    trial_records,
 )
 from mmfuse.speech import REFERENCE_CORRECT_RATES
 from mmfuse.vocab import FUSION_OPERATIONS, SpeechCommand
@@ -195,22 +194,6 @@ def test_fusion_experiment_tracks_calibrated_rate():
     target = TABLE4_TARGET_ERROR_PCT[op]
     se = 100 * ((target / 100) * (1 - target / 100) / 10_000) ** 0.5
     assert abs(stats.error_pct - target) < 4 * se
-
-
-def test_trial_records_round_trip():
-    trials_stats = run_fusion_experiment(FUSION_OPERATIONS[0], blocks=2, block_size=10, seed=1)
-    # records come from FusionTrials; rebuild via the simulate path
-    from mmfuse.fusion import simulate_fused_operation, default_models
-    from mmfuse.seeding import make_rng
-
-    trials = simulate_fused_operation(
-        FUSION_OPERATIONS[0], default_models(), default_fusion_config(), 20, make_rng(5)
-    )
-    records = trial_records(trials)
-    assert len(records) == 20
-    assert sum(not r.ok for r in records) == trials.error_count
-    for r in records:
-        assert (r.error_kind is None) == r.ok
 
 
 def test_reference_experiments_bundle():

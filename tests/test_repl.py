@@ -6,9 +6,9 @@ from mmfuse.fusion import FusionConfig
 from mmfuse.repl import ReplSession, run_repl
 
 
-def run_script(script: str, cfg=None, seed: int = 0):
+def run_script(script: str, cfg=None):
     out = io.StringIO()
-    code = run_repl(io.StringIO(script), out, cfg=cfg, seed=seed)
+    code = run_repl(io.StringIO(script), out, cfg=cfg)
     return code, out.getvalue()
 
 
@@ -81,8 +81,8 @@ def test_unknown_gesture_name_is_reported():
 
 def test_transcripts_are_deterministic():
     script = 'g none\ns "move gripper"\ng wave_in\nstate\nquit\n'
-    _, a = run_script(script, seed=4)
-    _, b = run_script(script, seed=4)
+    _, a = run_script(script)
+    _, b = run_script(script)
     assert a == b
 
 

@@ -3,9 +3,36 @@
 import socket
 import threading
 
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mmfuse.fusion import FusionConfig
+from mmfuse import protocol as wire
+from mmfuse.fusion import EventSource, FusionConfig
 from mmfuse.server import FusionServer, Session, run_session
+from mmfuse.vocab import COMMANDS, GESTURES, Gesture
+
+_EVENTS = st.one_of(
+    st.tuples(
+        st.just(EventSource.GESTURE),
+        st.sampled_from([wire.gesture_token(g) for g in (*GESTURES, Gesture.NONE)]),
+    ),
+    st.tuples(
+        st.just(EventSource.SPEECH),
+        st.sampled_from([c.utterance for c in COMMANDS] + ["beam me up"]),
+    ),
+)
+
+
+@st.composite
+def valid_transcripts(draw):
+    """HELLO, events with rising seq and non-decreasing t_ms, then BYE."""
+    lines = [wire.encode(wire.Hello())]
+    t_ms = 0
+    for seq, (source, payload) in enumerate(draw(st.lists(_EVENTS, max_size=30)), 1):
+        t_ms += draw(st.integers(min_value=0, max_value=3000))
+        lines.append(wire.encode(wire.Evt(source, seq, t_ms, payload)))
+    lines.append(wire.encode(wire.Bye()))
+    return lines
 
 
 def transcript(lines):
@@ -152,6 +179,14 @@ def test_sessions_are_deterministic():
     a = run_session(lines, base_seed=5, session_index=3)
     b = run_session(lines, base_seed=5, session_index=3)
     assert a == b
+
+
+@given(valid_transcripts())
+def test_replies_do_not_depend_on_detection(lines):
+    # sessions draw nothing, so d cannot reach a served reply
+    assert run_session(lines, cfg=FusionConfig.uniform(0.0)) == run_session(
+        lines, cfg=FusionConfig.uniform(1.0)
+    )
 
 
 def test_session_handle_line_api():
