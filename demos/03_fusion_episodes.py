@@ -5,7 +5,8 @@ empty one opens a fallback window, and the next utterance inside it
 decides the episode. The simulator, which knows the intended gesture,
 turns a wrong capture into an empty one with the calibrated detection
 probability. The expected error rate of that procedure has a closed form,
-and a Monte Carlo run through the live machine lands on it.
+and a Monte Carlo run through a transition table stepped from the machine
+lands on it.
 """
 
 from mmfuse import (
@@ -87,7 +88,7 @@ def walk_episodes() -> None:
 def algebra_vs_machine() -> None:
     models = default_models()
     cfg = default_fusion_config()
-    print("\nclosed form vs 100k live episodes per operation")
+    print("\nclosed form vs 100k simulated episodes per operation")
     print(f"{'operation':28s} {'closed':>8s} {'machine':>8s}")
     for i, g in enumerate(
         (Gesture.FIST, Gesture.WAVE_IN, Gesture.WAVE_OUT)

@@ -31,5 +31,8 @@ def main(out_dir: str) -> None:
 
 
 if __name__ == "__main__":
-    target = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="mmfuse-")
-    main(target)
+    if len(sys.argv) > 1:
+        main(sys.argv[1])
+    else:
+        with tempfile.TemporaryDirectory(prefix="mmfuse-") as tmp:
+            main(tmp)

@@ -21,7 +21,7 @@ from typing import List, Optional
 from . import harness
 from .config import AppConfig, ConfigError, PORT_ENV_VAR, resolve_config
 from .emg import CalibrationError, calibrate_noise
-from .fusion import InfeasibleTargetError, calibrate_detection
+from .fusion import InfeasibleTargetError
 from .report import emit_chart, emit_report
 from .seeding import make_rng
 from .vocab import (
@@ -117,18 +117,12 @@ def _cmd_calibrate(args, cfg: AppConfig, out) -> int:
     else:
         ops = list(FUSION_OPERATIONS)
 
-    gmodel = cfg.gesture_model
-    smodel = cfg.recognition_model
+    models = cfg.models()
     width = max(len(op.label) for op in ops)
     print(f"{'operation':<{width}}  g      s      target  d", file=out)
     for op in ops:
-        g = gmodel.error_rate(op.gesture)
-        s = smodel.error_rate(op.speech)
-        target = harness.TABLE4_TARGET_ERROR_PCT[op] / 100.0
-        try:
-            cal = calibrate_detection(g, s, target)
-        except InfeasibleTargetError as e:
-            raise _CliError(f"cannot calibrate {op.label}: {e}") from e
+        g, s, target = harness.operation_rates(op, models)
+        cal = harness.calibrate_operation(op, models)
         print(
             f"{op.label:<{width}}  {g:.3f}  {s:.3f}  {target:.3f}   "
             f"{cal.d:.6f} ({cal.status.value})",
@@ -141,7 +135,7 @@ def _cmd_calibrate(args, cfg: AppConfig, out) -> int:
         print("signal-layer noise calibration (seeded bisection):", file=out)
         gw = max(len(g.value) for g in GESTURES)
         for idx, g in enumerate(GESTURES):
-            target = gmodel.error_rate(g)
+            target = cfg.gesture_model.error_rate(g)
             try:
                 cal = calibrate_noise(
                     g, target, make_rng(seed + idx), trials_per_eval=20000
@@ -171,9 +165,10 @@ def _cmd_serve(args, cfg: AppConfig, out) -> int:
         raise _CliError(f"port out of range: {port}")
     from .server import serve
 
+    fusion_cfg = cfg.fusion_config()
     print(f"fusion server listening on {args.host}:{port}", file=out)
     try:
-        serve(port=port, host=args.host, cfg=cfg.fusion_config())
+        serve(port=port, host=args.host, cfg=fusion_cfg)
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     return 0
@@ -188,7 +183,7 @@ def _cmd_repl(args, cfg: AppConfig, out) -> int:
 def _cmd_report(args, cfg: AppConfig, out) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     results = harness.run_reference_experiments(
-        seed=seed, cfg=cfg.fusion_config()
+        seed=seed, cfg=cfg.fusion_config(), models=cfg.models()
     )
     paths = emit_report(results, args.out)
     chart = emit_chart(results.fusion, os.path.join(args.out, "figure4_fused.svg"))
@@ -240,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = resolve_config(args.config)
         return args.func(args, cfg, sys.stdout)
-    except (ConfigError, _CliError) as e:
+    except (ConfigError, InfeasibleTargetError, _CliError) as e:
         print(f"mmfuse: {e}", file=sys.stderr)
         return 2
 

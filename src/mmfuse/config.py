@@ -88,7 +88,7 @@ class AppConfig:
         default_factory=default_normalization_map
     )
     fallback_window_ms: int = DEFAULT_FALLBACK_WINDOW_MS
-    #: None means "calibrate from the reference tables at use time".
+    #: None means "calibrate from the configured models at use time".
     detection: Optional[Mapping[FusionOperation, float]] = None
 
     def models(self) -> ModalityModels:
@@ -97,13 +97,15 @@ class AppConfig:
         )
 
     def fusion_config(self) -> FusionConfig:
+        """The fusion config; raises InfeasibleTargetError when calibration
+        cannot reach an operation's target with the configured models."""
         if self.detection is not None:
             return FusionConfig(
                 d=dict(self.detection), fallback_window_ms=self.fallback_window_ms
             )
         from .harness import default_fusion_config
 
-        return default_fusion_config(fallback_window_ms=self.fallback_window_ms)
+        return default_fusion_config(self.fallback_window_ms, self.models())
 
 
 def default_config() -> AppConfig:

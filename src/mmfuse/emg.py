@@ -243,7 +243,14 @@ class GestureOutcomeModel:
 
     def draw_confusable(self, g: Gesture, rng: np.random.Generator) -> Gesture:
         """Which gesture a wrong capture of ``g`` turns into."""
-        u = rng.random()
+        return self.confusable_at(g, rng.random())
+
+    def confusable_at(self, g: Gesture, u: float) -> Gesture:
+        """The gesture a wrong capture of ``g`` turns into at uniform ``u``.
+
+        Walks the cumulative confusion weights in GESTURES order; the
+        reference for :meth:`confusable_indices`.
+        """
         acc = 0.0
         conf = self.rates[g].confusion
         last = None
@@ -257,6 +264,15 @@ class GestureOutcomeModel:
                 return other
         assert last is not None, "empty confusion distribution"
         return last  # guard against accumulated rounding at u ~ 1
+
+    def confusable_indices(self, g: Gesture, u: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`confusable_at`: GESTURES indices, one per uniform."""
+        conf = self.rates[g].confusion
+        support = [i for i, o in enumerate(GESTURES) if conf.get(o, 0.0) > 0.0]
+        assert support, "empty confusion distribution"
+        cum = np.cumsum([conf[GESTURES[i]] for i in support])
+        k = np.searchsorted(cum, u, side="right")
+        return np.asarray(support)[np.minimum(k, len(support) - 1)]
 
     def sample_kinds(
         self,

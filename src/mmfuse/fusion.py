@@ -14,6 +14,7 @@ measured fused rate), so simulated runs can be checked against arithmetic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple, Union
@@ -22,15 +23,18 @@ import numpy as np
 
 from .emg import GestureOutcome, GestureOutcomeModel, OutcomeKind, default_gesture_model
 from .speech import (
+    EXTRANEOUS_FILLERS,
+    RECOGNITION_MODES,
     RawUtterance,
     RecognitionModel,
     default_recognition_model,
     normalize_text,
-    sample_recognition,
+    recognition_text,
 )
 from .vocab import (
     ArmAction,
     FusionOperation,
+    GESTURES,
     Gesture,
     FUSION_OPERATIONS,
     SpeechCommand,
@@ -457,63 +461,111 @@ def _classify_result(
     return TrialCode.WINDOW_EXPIRED
 
 
+def _step_episode(
+    op: FusionOperation,
+    captured: Optional[Gesture],
+    speech_mode: int,
+    cfg: FusionConfig,
+    filler: str = EXTRANEOUS_FILLERS[0],
+) -> int:
+    """Step one episode of ``op`` through the machine; returns a TrialCode.
+
+    ``captured`` is what reaches the machine from the band (None for an
+    empty capture); ``speech_mode`` is the recognition the fallback hears
+    if it opens, as a :meth:`RecognitionModel.sample_modes` code.
+    """
+    if captured is None:
+        kind = OutcomeKind.MISSED
+    else:
+        kind = OutcomeKind.CORRECT if captured is op.gesture else OutcomeKind.WRONG
+    outcome = GestureOutcome(kind=kind, intended=op.gesture, captured=captured)
+    state: FusionState = begin_episode(0, cfg)
+    event = ModalityEvent(EventSource.GESTURE, GESTURE_LATENCY_MS, outcome, 0)
+    state, result = step(state, event, cfg)
+
+    if isinstance(state, SpeechFallback):
+        text = recognition_text(op.speech, speech_mode, filler)
+        event = ModalityEvent(
+            source=EventSource.SPEECH,
+            t_ms=GESTURE_LATENCY_MS + SPEECH_LATENCY_MS,
+            payload=RawUtterance(text=text, spoken=op.speech),
+            seq=0,
+        )
+        state, result = step(state, event, cfg)
+
+    assert result is not None, "episode must terminate in a command or error"
+    return _classify_result(result, action_for_gesture(op.gesture))
+
+
+#: What can reach the machine from the band: each gesture, then the empty
+#: capture. Row order of the transition table.
+_CAPTURES: Tuple[Optional[Gesture], ...] = (*GESTURES, None)
+_EMPTY_CAPTURE = len(GESTURES)
+
+
+@functools.lru_cache(maxsize=64)
+def _transition_table(op: FusionOperation, fallback_window_ms: int) -> np.ndarray:
+    """TrialCode of every (capture, speech mode) cell, stepped through the machine.
+
+    Rows follow ``_CAPTURES``, columns the recognition modes. Detection and
+    the models only choose a cell; what the cell yields depends on the
+    operation and the window alone (a window that closes before the
+    fallback speech arrives expires every fallback). Every extraneous
+    filler is stepped and must give one code. Read-only, as it is shared.
+    """
+    cfg = FusionConfig(d={}, fallback_window_ms=fallback_window_ms)
+    table = np.empty((len(_CAPTURES), RECOGNITION_MODES), dtype=np.int8)
+    for row, captured in enumerate(_CAPTURES):
+        for mode in range(RECOGNITION_MODES):
+            codes = {
+                _step_episode(op, captured, mode, cfg, filler)
+                for filler in EXTRANEOUS_FILLERS
+            }
+            assert len(codes) == 1, f"fillers disagree for {op.label}, mode {mode}"
+            table[row, mode] = codes.pop()
+    table.flags.writeable = False
+    return table
+
+
 def run_episode(
     op: FusionOperation,
     models: ModalityModels,
     cfg: FusionConfig,
     rng: np.random.Generator,
-    t0_ms: int = 0,
-    gesture_seq: int = 0,
-    speech_seq: int = 0,
 ) -> int:
-    """One fused episode through the state machine; returns a TrialCode.
+    """One fused episode stepped through the state machine; returns a TrialCode.
 
-    The gesture channel fails with the model's error rate for the intended
-    gesture, and every failure surfaces as a wrong capture.  Only this
-    driver knows the intent, so it draws the detector here: a caught wrong
-    capture reaches the machine as an empty capture, which opens the speech
-    fallback, and an uncaught one is acted on.  That matches the closed-form
-    algebra, where the detection probability d gates all gesture failures
-    alike.  Draw order per episode: failure, confusable gesture, detection
-    (the last two only on failure), then speech inside the fallback.
+    Takes exactly four uniforms, ``rng.random(4)``, and reads them in
+    column order:
+
+    0. fail: the gesture channel fails when ``u`` is below the model's
+       error rate for the intended gesture; every failure surfaces as a
+       wrong capture.
+    1. confusion: which gesture a failure captures
+       (:meth:`GestureOutcomeModel.confusable_at`).
+    2. detect: the detector catches a failure when ``u`` is below
+       ``cfg.detection_prob(op)``. Only the simulator knows the intent, so it
+       draws the detector here: a caught wrong capture reaches the machine
+       as an empty capture, which opens the speech fallback, and an
+       uncaught one is acted on. That matches the closed-form algebra,
+       where d gates all gesture failures alike.
+    3. speech: the recognition mode the fallback hears
+       (:meth:`RecognitionModel.modes_at`).
+
+    Columns an episode does not use are drawn all the same, so ``n`` calls
+    consume the stream of one ``simulate_fused_operation(..., n, rng)`` and
+    agree with it code for code; this is the reference it is tested against.
     """
-    intended_action = action_for_gesture(op.gesture)
+    u_fail, u_confusion, u_detect, u_speech = rng.random(4)
     model = models.gesture
-    state: FusionState = begin_episode(t0_ms, cfg)
-
-    if rng.random() < model.error_rate(op.gesture):
-        captured = model.draw_confusable(op.gesture, rng)
-        if rng.random() < cfg.detection_prob(op):
-            # the detector caught it: the machine sees an empty capture
-            outcome = GestureOutcome(
-                kind=OutcomeKind.MISSED, intended=op.gesture, captured=None
-            )
+    captured: Optional[Gesture] = op.gesture
+    if u_fail < model.error_rate(op.gesture):
+        if u_detect < cfg.detection_prob(op):
+            captured = None
         else:
-            outcome = GestureOutcome(
-                kind=OutcomeKind.WRONG, intended=op.gesture, captured=captured
-            )
-    else:
-        outcome = GestureOutcome(
-            kind=OutcomeKind.CORRECT, intended=op.gesture, captured=op.gesture
-        )
-    t_gesture = t0_ms + GESTURE_LATENCY_MS
-    event = ModalityEvent(
-        source=EventSource.GESTURE, t_ms=t_gesture, payload=outcome, seq=gesture_seq
-    )
-    state, result = step(state, event, cfg)
-
-    if isinstance(state, SpeechFallback):
-        utterance = sample_recognition(op.speech, models.speech, rng)
-        event = ModalityEvent(
-            source=EventSource.SPEECH,
-            t_ms=t_gesture + SPEECH_LATENCY_MS,
-            payload=utterance,
-            seq=speech_seq,
-        )
-        state, result = step(state, event, cfg)
-
-    assert result is not None, "episode must terminate in a command or error"
-    return _classify_result(result, intended_action)
+            captured = model.confusable_at(op.gesture, u_confusion)
+    mode = int(models.speech.modes_at(op.speech, u_speech))
+    return _step_episode(op, captured, mode, cfg)
 
 
 def simulate_fused_operation(
@@ -523,30 +575,25 @@ def simulate_fused_operation(
     n_trials: int,
     rng: np.random.Generator,
 ) -> FusionTrials:
-    """Run ``n_trials`` independent episodes of ``op`` through the machine."""
+    """Run ``n_trials`` independent episodes of ``op`` through the machine.
+
+    One ``rng.random((n_trials, 4))`` draw gives each episode the four
+    uniforms :func:`run_episode` reads, mapped by the same column rules to
+    a capture and a speech mode; the episode's code is that cell of the
+    transition table stepped from the machine.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    codes = np.empty(n_trials, dtype=np.int8)
-    for i in range(n_trials):
-        codes[i] = run_episode(op, models, cfg, rng, gesture_seq=i, speech_seq=i)
-    return FusionTrials(op=op, codes=codes)
-
-
-def fused_error_trials(
-    g: float, s: float, d: float, n: int, rng: np.random.Generator
-) -> float:
-    """Vectorized Monte Carlo of the fused channel at abstract rates.
-
-    Statistically identical to run_episode() with a gesture channel that
-    fails at rate g (as wrong captures), a detector that fires with
-    probability d, and a fallback that fails at rate s; usable on dense
-    (g, s, d) grids where per-episode stepping would be too slow.
-    """
-    for name, v in (("g", g), ("s", s), ("d", d)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be within [0, 1], got {v}")
-    fail = rng.random(n) < g
-    detected = fail & (rng.random(n) < d)
-    fallback_bad = detected & (rng.random(n) < s)
-    errors = (fail & ~detected) | fallback_bad
-    return float(errors.mean())
+    u = rng.random((n_trials, 4))
+    model = models.gesture
+    failed = u[:, 0] < model.error_rate(op.gesture)
+    detected = u[:, 2] < cfg.detection_prob(op)
+    wrong = model.confusable_indices(op.gesture, u[:, 1])
+    captures = np.where(
+        failed,
+        np.where(detected, _EMPTY_CAPTURE, wrong),
+        GESTURES.index(op.gesture),
+    )
+    modes = models.speech.modes_at(op.speech, u[:, 3])
+    table = _transition_table(op, cfg.fallback_window_ms)
+    return FusionTrials(op=op, codes=table[captures, modes])

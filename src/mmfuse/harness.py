@@ -20,8 +20,10 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .emg import GestureOutcomeModel, default_gesture_model
 from .fusion import (
-    CalibrationStatus,
+    DEFAULT_FALLBACK_WINDOW_MS,
+    DetectionCalibration,
     FusionConfig,
+    InfeasibleTargetError,
     ModalityModels,
     calibrate_detection,
     default_models,
@@ -178,18 +180,44 @@ def run_modality_experiment(
     )
 
 
-def default_fusion_config(fallback_window_ms: int = 2000) -> FusionConfig:
-    """Detection probabilities calibrated so each operation hits its target."""
-    from .emg import REFERENCE_ERROR_RATES as G
-    from .speech import REFERENCE_ERROR_RATES as S
+def operation_rates(
+    op: FusionOperation, models: ModalityModels
+) -> Tuple[float, float, float]:
+    """``(g, s, target)``: the models' error rates for ``op`` and its fused target.
 
-    d: dict[FusionOperation, float] = {}
-    for op in FUSION_OPERATIONS:
-        cal = calibrate_detection(
-            G[op.gesture], S[op.speech], TABLE4_TARGET_ERROR_PCT[op] / 100.0
-        )
-        assert cal.status is CalibrationStatus.CALIBRATED
-        d[op] = cal.d
+    Rates are rounded to 10 decimals, the rule that defines the reference
+    speech error rates, so a model built from a table value calibrates
+    exactly as that value does (``1 - 0.9`` is 0.09999999999999998).
+    """
+    g = round(models.gesture.error_rate(op.gesture), 10)
+    s = round(models.speech.error_rate(op.speech), 10)
+    return g, s, TABLE4_TARGET_ERROR_PCT[op] / 100.0
+
+
+def calibrate_operation(
+    op: FusionOperation, models: ModalityModels
+) -> DetectionCalibration:
+    """Detection probability that lands ``op`` on its fused target.
+
+    Raises InfeasibleTargetError naming the operation when the target lies
+    below the models' perfect-detection floor g*s.
+    """
+    try:
+        return calibrate_detection(*operation_rates(op, models))
+    except InfeasibleTargetError as e:
+        raise InfeasibleTargetError(f"cannot calibrate {op.label}: {e}") from e
+
+
+def default_fusion_config(
+    fallback_window_ms: int = DEFAULT_FALLBACK_WINDOW_MS,
+    models: Optional[ModalityModels] = None,
+) -> FusionConfig:
+    """Detection probabilities calibrated so each operation hits its target.
+
+    Calibrated against ``models``, the reference models by default.
+    """
+    models = models if models is not None else default_models()
+    d = {op: calibrate_operation(op, models).d for op in FUSION_OPERATIONS}
     return FusionConfig(d=d, fallback_window_ms=fallback_window_ms)
 
 
@@ -257,16 +285,27 @@ def run_reference_experiments(
     blocks: int = 4,
     block_size: int = 50,
     cfg: Optional[FusionConfig] = None,
+    models: Optional[ModalityModels] = None,
 ) -> ExperimentResults:
-    """The full bench protocol: both modalities alone, then all five fused."""
-    emg = run_modality_experiment(Modality.EMG, reps, per_rep, seed=derive_seed(seed, 101))
-    speech = run_modality_experiment(
-        Modality.SPEECH, reps, per_rep, seed=derive_seed(seed, 202)
+    """The full bench protocol: both modalities alone, then all five fused.
+
+    Everything draws from ``models`` (the reference models by default);
+    ``cfg`` defaults to detection calibrated against them.
+    """
+    models = models if models is not None else default_models()
+    emg = run_modality_experiment(
+        Modality.EMG, reps, per_rep, seed=derive_seed(seed, 101),
+        gesture_model=models.gesture,
     )
-    cfg = cfg if cfg is not None else default_fusion_config()
+    speech = run_modality_experiment(
+        Modality.SPEECH, reps, per_rep, seed=derive_seed(seed, 202),
+        speech_model=models.speech,
+    )
+    cfg = cfg if cfg is not None else default_fusion_config(models=models)
     fusion = {
         op: run_fusion_experiment(
-            op, blocks, block_size, cfg=cfg, seed=derive_seed(seed, 303)
+            op, blocks, block_size, cfg=cfg, seed=derive_seed(seed, 303),
+            models=models,
         )
         for op in FUSION_OPERATIONS
     }

@@ -73,6 +73,9 @@ _MODE_ORDER: tuple[ErrorMode, ...] = (
     ErrorMode.EXTRANEOUS,
 )
 
+#: Number of recognition outcome codes: correct, then each error mode in order.
+RECOGNITION_MODES = 1 + len(_MODE_ORDER)
+
 
 def normalize_text(text: str) -> str:
     """Lowercase and collapse runs of whitespace to single spaces."""
@@ -145,7 +148,10 @@ class RecognitionModel:
 
         Codes: 0 correct, 1 confusable, 2 duplicated, 3 extraneous.
         """
-        u = rng.random(n)
+        return self.modes_at(c, rng.random(n))
+
+    def modes_at(self, c: SpeechCommand, u: np.ndarray) -> np.ndarray:
+        """Outcome codes of :meth:`sample_modes` for given uniforms ``u``."""
         return np.searchsorted(self._thresholds(c), u, side="right")
 
 
@@ -154,7 +160,12 @@ def default_recognition_model() -> RecognitionModel:
     return RecognitionModel(p_correct=dict(REFERENCE_CORRECT_RATES))
 
 
-def _text_for_mode(c: SpeechCommand, code: int, rng: np.random.Generator) -> str:
+def recognition_text(c: SpeechCommand, code: int, filler: str) -> str:
+    """Text a recognition of ``c`` in mode ``code`` produces.
+
+    ``filler`` is the token the extraneous mode (code 3) appends; the other
+    modes ignore it.
+    """
     canonical = c.utterance
     if code == 0:
         return canonical
@@ -162,7 +173,6 @@ def _text_for_mode(c: SpeechCommand, code: int, rng: np.random.Generator) -> str
         return CONFUSABLES[c]
     if code == 2:
         return canonical + " " + canonical
-    filler = EXTRANEOUS_FILLERS[rng.integers(len(EXTRANEOUS_FILLERS))]
     return canonical + " " + filler
 
 
@@ -171,7 +181,10 @@ def sample_recognition(
 ) -> RawUtterance:
     """Draw one recognition of ``c``: canonical text or one failure shape."""
     code = int(model.sample_modes(c, 1, rng)[0])
-    return RawUtterance(text=_text_for_mode(c, code, rng), spoken=c)
+    filler = ""
+    if code == 3:
+        filler = EXTRANEOUS_FILLERS[rng.integers(len(EXTRANEOUS_FILLERS))]
+    return RawUtterance(text=recognition_text(c, code, filler), spoken=c)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,40 @@ def test_calibrate_unreachable_target_exits_2(tmp_path):
     assert "Move Down & Fist" in out.stderr
 
 
+def test_unreachable_target_exits_2_on_every_fused_command(tmp_path):
+    # at g = 0.20 the fist operation's 4% target is below the floor g * s;
+    # every command that fuses reports it as calibrate does, before any output
+    cfg = tmp_path / "fuse.yaml"
+    cfg.write_text("version: 1\nemg:\n  error_rates: {fist: 0.20}\n")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    commands = (
+        ["calibrate"],
+        ["simulate", "--table", "4"],
+        ["report", "--out", str(tmp_path / "report")],
+        ["serve", "--port", str(port)],
+        ["repl"],
+    )
+    errors = set()
+    for argv in commands:
+        out = subprocess.run(
+            [sys.executable, "-m", "mmfuse.cli", "--config", str(cfg), *argv],
+            env=_child_env(),
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2, (argv, out.stderr)
+        assert out.stderr.startswith("mmfuse: cannot calibrate Move Down & Fist: "), argv
+        if argv[0] != "calibrate":
+            assert out.stdout == "", argv
+        errors.add(out.stderr)
+    assert len(errors) == 1, errors
+    assert not (tmp_path / "report").exists()
+
+
 def test_config_env_var(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "fuse.yaml"
     cfg.write_text("version: 1\nseed: 11\n")

@@ -27,6 +27,21 @@ def test_default_fusion_config_matches_calibrated():
     assert app.fusion_config().d == default_fusion_config().d
 
 
+def test_fusion_config_calibrates_from_configured_models():
+    from mmfuse.fusion import calibrate_detection
+    from mmfuse.speech import REFERENCE_ERROR_RATES
+    from mmfuse.vocab import operation_for_gesture
+
+    cfg = config_from_mapping({"version": 1, "emg": {"error_rates": {"fist": 0.16}}})
+    op = operation_for_gesture(Gesture.FIST)
+    expected = calibrate_detection(0.16, REFERENCE_ERROR_RATES[op.speech], 0.04).d
+    assert cfg.fusion_config().detection_prob(op) == expected
+    # the other operations keep their reference calibration
+    for other in FUSION_OPERATIONS:
+        if other is not op:
+            assert cfg.fusion_config().d[other] == default_fusion_config().d[other]
+
+
 def test_minimal_mapping():
     cfg = config_from_mapping({"version": 1})
     assert cfg.seed == 0

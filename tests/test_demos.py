@@ -22,3 +22,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
+    # a demo that needed a temporary directory removed it
+    assert not list(tmp_path.glob("mmfuse-*"))

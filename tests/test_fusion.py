@@ -27,7 +27,6 @@ from mmfuse.fusion import (
     calibrate_detection,
     closed_form_fused_error,
     default_models,
-    fused_error_trials,
     run_episode,
     simulate_fused_operation,
     step,
@@ -374,12 +373,93 @@ def test_episode_rate_matches_closed_form():
     assert abs(trials.error_rate - expected) < 3 * se
 
 
-def test_fused_error_trials_matches_closed_form():
-    rng = make_rng(17)
-    got = fused_error_trials(0.2, 0.3, 0.6, 200_000, rng)
-    expected = closed_form_fused_error(0.2, 0.3, 0.6)
-    se = (expected * (1 - expected) / 200_000) ** 0.5
-    assert abs(got - expected) < 3 * se
+def _assert_engine_matches_stepped(op, models, cfg, n, seed):
+    """The engine and n stepped episodes agree code for code and leave the
+    generator at the same point."""
+    engine_rng, stepped_rng = make_rng(seed), make_rng(seed)
+    trials = simulate_fused_operation(op, models, cfg, n, engine_rng)
+    stepped = [run_episode(op, models, cfg, stepped_rng) for _ in range(n)]
+    assert trials.codes.dtype == np.int8
+    assert trials.codes.tolist() == stepped
+    assert engine_rng.random() == stepped_rng.random()
+
+
+@pytest.mark.parametrize("op", FUSION_OPERATIONS, ids=lambda op: op.label)
+def test_engine_matches_stepped_episodes(op):
+    from mmfuse.harness import default_fusion_config
+
+    _assert_engine_matches_stepped(op, default_models(), default_fusion_config(), 3000, 21)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    op=st.sampled_from(FUSION_OPERATIONS),
+    d=st.floats(0.0, 1.0),
+    window=st.integers(1, 5000),
+    rates=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        min_size=5,
+        max_size=5,
+    ),
+    profile=st.sampled_from(["uniform", "emphasized"]),
+    p_speech=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_engine_matches_stepped_episodes_property(
+    op, d, window, rates, profile, p_speech, n, seed
+):
+    from mmfuse.emg import GestureOutcomeModel
+    from mmfuse.fusion import ModalityModels
+    from mmfuse.speech import REFERENCE_CORRECT_RATES, RecognitionModel
+    from mmfuse.vocab import GESTURES
+
+    models = ModalityModels(
+        gesture=GestureOutcomeModel.from_error_rates(
+            dict(zip(GESTURES, rates)), confusion_profile=profile
+        ),
+        speech=RecognitionModel(
+            p_correct={**REFERENCE_CORRECT_RATES, op.speech: p_speech}
+        ),
+    )
+    cfg = FusionConfig.uniform(d, fallback_window_ms=window)
+    _assert_engine_matches_stepped(op, models, cfg, n, seed)
+
+
+def test_window_shorter_than_speech_latency_expires_every_fallback():
+    from mmfuse.fusion import SPEECH_LATENCY_MS
+
+    models = _always_failing_models()
+    op = FUSION_OPERATIONS[0]
+    rng = make_rng(4)
+    # the same operation at the default window first, so a table cached by
+    # operation alone would answer the short window wrongly
+    simulate_fused_operation(op, models, CFG, 10, rng)
+    short = FusionConfig.uniform(1.0, fallback_window_ms=SPEECH_LATENCY_MS - 1)
+    trials = simulate_fused_operation(op, models, short, 500, rng)
+    assert set(trials.codes.tolist()) == {TrialCode.WINDOW_EXPIRED}
+
+
+def test_error_kinds_match_closed_form_terms():
+    # each operation's undetected wrong captures land on g(1-d) and its failed
+    # fallbacks on g*d*s; nothing expires at the default window
+    from mmfuse.harness import default_fusion_config
+
+    models = default_models()
+    cfg = default_fusion_config()
+    n = 1_000_000
+    for i, op in enumerate(FUSION_OPERATIONS):
+        g = models.gesture.error_rate(op.gesture)
+        s = models.speech.error_rate(op.speech)
+        d = cfg.detection_prob(op)
+        counts = simulate_fused_operation(op, models, cfg, n, make_rng(700 + i)).kind_counts()
+        for kind, p in (
+            (FusionErrorKind.UNDETECTED_WRONG_GESTURE, g * (1 - d)),
+            (FusionErrorKind.FALLBACK_FAILED, g * d * s),
+        ):
+            se = (p * (1 - p) / n) ** 0.5
+            assert abs(counts[kind] / n - p) < 5 * se, (op.label, kind, counts[kind])
+        assert counts[FusionErrorKind.WINDOW_EXPIRED] == 0, op.label
 
 
 def test_simulate_rejects_empty_run(rng):

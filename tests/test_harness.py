@@ -212,6 +212,20 @@ def test_reference_experiments_deterministic():
     assert a == b
 
 
+def test_reference_experiments_draw_from_given_models():
+    # a perfect gesture channel: targets above g = 0 calibrate to d = 0, and
+    # no gesture or fused episode errs
+    from mmfuse.emg import GestureOutcomeModel
+    from mmfuse.fusion import ModalityModels, default_models
+
+    perfect = GestureOutcomeModel.from_error_rates(dict.fromkeys(REFERENCE_ERROR_RATES, 0.0))
+    models = ModalityModels(gesture=perfect, speech=default_models().speech)
+    assert set(default_fusion_config(models=models).d.values()) == {0.0}
+    results = run_reference_experiments(seed=3, models=models)
+    assert all(row.errors == 0 for row in results.emg.rows)
+    assert all(sum(bs.block_errors) == 0 for bs in results.fusion.values())
+
+
 def test_table_row_lookup():
     table = run_modality_experiment(Modality.SPEECH, reps=2, per_rep=10, seed=1)
     row = table.row(SpeechCommand.MOVE_UP)
