@@ -251,8 +251,9 @@ def _step_gesture(
         # fallback already active or no episode armed; band input is stale
         return state, None
     captured = event.payload.captured  # type: ignore[union-attr]
-    if captured is None:
-        # equivalent to the window expiring: no capture to act on
+    if captured is None or event.t_ms >= state.deadline_ms:
+        # an empty capture, or one that arrives after the window closed, is
+        # what a tick at this time finds: no capture to act on
         return (
             SpeechFallback(deadline_ms=event.t_ms + cfg.fallback_window_ms),
             None,
@@ -510,8 +511,10 @@ def _transition_table(op: FusionOperation, fallback_window_ms: int) -> np.ndarra
     Rows follow ``_CAPTURES``, columns the recognition modes. Detection and
     the models only choose a cell; what the cell yields depends on the
     operation and the window alone (a window that closes before the
-    fallback speech arrives expires every fallback). Every extraneous
-    filler is stepped and must give one code. Read-only, as it is shared.
+    fallback speech arrives expires every fallback, and one that closes
+    before the capture, at ``GESTURE_LATENCY_MS`` or less, expires every
+    episode). Every extraneous filler is stepped and must give one code.
+    Read-only, as it is shared.
     """
     cfg = FusionConfig(d={}, fallback_window_ms=fallback_window_ms)
     table = np.empty((len(_CAPTURES), RECOGNITION_MODES), dtype=np.int8)

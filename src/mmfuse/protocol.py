@@ -28,6 +28,8 @@ from .vocab import Gesture, GESTURES, PIN_ASSIGNMENTS
 
 PROTOCOL_VERSION = "mmfuse/1"
 DEFAULT_PORT = 7207
+#: Longest line a peer may send, newline included.
+MAX_LINE_BYTES = 4096
 
 _GESTURE_TOKENS: dict[str, Gesture] = {g.name: g for g in GESTURES}
 _GESTURE_TOKENS["NONE"] = Gesture.NONE
@@ -220,6 +222,21 @@ class _Cursor:
     def end(self) -> None:
         if self.pos != len(self.line):
             raise self.fail("trailing characters after message")
+
+
+def line_from_bytes(raw: bytes) -> str:
+    """Text of one line read off the wire, refusing oversized and non-UTF-8 lines.
+
+    ``raw`` comes from a read capped at ``MAX_LINE_BYTES + 1`` bytes, so a
+    longer read means the line did not fit. Either fault raises ParseError
+    at the first byte past the cap or the first invalid byte.
+    """
+    if len(raw) > MAX_LINE_BYTES:
+        raise ParseError(f"line exceeds {MAX_LINE_BYTES} bytes", MAX_LINE_BYTES)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("invalid UTF-8", e.start) from None
 
 
 def decode(line: str) -> WireMessage:

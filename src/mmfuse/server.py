@@ -155,17 +155,19 @@ class _Handler(socketserver.StreamRequestHandler):
         server: FusionServer = self.server  # type: ignore[assignment]
         session = Session(cfg=server.cfg)
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(wire.MAX_LINE_BYTES + 1)
             if not raw:
                 break
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                line = ""  # force a parse error below
-            replies, keep = session.handle_line(line or "\n")
-            for reply in replies:
-                self.wfile.write(reply.encode("utf-8"))
-            self.wfile.flush()
+                line = wire.line_from_bytes(raw)
+            except wire.ParseError as e:
+                replies, keep = session._violation(400, str(e))
+            else:
+                replies, keep = session.handle_line(line)
+            # one send per inbound line: wfile is unbuffered, and a second
+            # send would wait behind Nagle's algorithm for the client's
+            # delayed ACK (about 40 ms) before a closed-loop client could go on
+            self.wfile.write("".join(replies).encode("utf-8"))
             if not keep:
                 break
 

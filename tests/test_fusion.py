@@ -35,6 +35,7 @@ from mmfuse.seeding import make_rng
 from mmfuse.speech import RawUtterance
 from mmfuse.vocab import (
     FUSION_OPERATIONS,
+    GESTURES,
     Gesture,
     SpeechCommand,
     action_for_command,
@@ -206,6 +207,39 @@ def test_gesture_ignored_in_fallback():
 def test_gesture_ignored_when_idle():
     state = Idle()
     assert step(state, correct(Gesture.FIST, 500), CFG) == (state, None)
+
+
+def test_capture_after_window_opens_fallback():
+    # the capture is stamped after the gesture deadline (2000 ms): not acted on
+    from mmfuse.fusion import capture_gesture
+
+    state, out = capture_gesture(begin_episode(0, CFG), Gesture.FIST, 5000, 1, CFG)
+    assert state == SpeechFallbackAt(5000)
+    assert out is None
+
+
+@given(
+    deadline=st.integers(0, 10_000),
+    t_ms=st.integers(0, 10_000),
+    window=st.integers(1, 5000),
+    intended=st.sampled_from(GESTURES),
+    captured=st.sampled_from((*GESTURES, None)),
+)
+def test_gesture_step_agrees_with_ticking_first(deadline, t_ms, window, intended, captured):
+    # the server ticks before each capture; stepping the capture alone must
+    # give the same result
+    cfg = FusionConfig.uniform(1.0, fallback_window_ms=window)
+    if captured is None:
+        kind = OutcomeKind.MISSED
+    else:
+        kind = OutcomeKind.CORRECT if captured is intended else OutcomeKind.WRONG
+    event = ModalityEvent(
+        EventSource.GESTURE, t_ms, GestureOutcome(kind, intended, captured), 0
+    )
+    state = AwaitingGesture(deadline_ms=deadline)
+    ticked, tick_out = step(state, ClockTick(t_ms), cfg)
+    assert tick_out is None
+    assert step(state, event, cfg) == step(ticked, event, cfg)
 
 
 def test_emitting_absorbs_everything():
@@ -438,6 +472,18 @@ def test_window_shorter_than_speech_latency_expires_every_fallback():
     short = FusionConfig.uniform(1.0, fallback_window_ms=SPEECH_LATENCY_MS - 1)
     trials = simulate_fused_operation(op, models, short, 500, rng)
     assert set(trials.codes.tolist()) == {TrialCode.WINDOW_EXPIRED}
+
+
+@pytest.mark.parametrize("op", FUSION_OPERATIONS, ids=lambda op: op.label)
+def test_window_closing_before_capture_expires_every_cell(op):
+    from mmfuse.fusion import GESTURE_LATENCY_MS, _transition_table
+
+    for window in (100, GESTURE_LATENCY_MS):
+        assert set(_transition_table(op, window).ravel().tolist()) == {
+            TrialCode.WINDOW_EXPIRED
+        }
+    # one millisecond more and the capture lands inside the window
+    assert TrialCode.EMIT_GESTURE in _transition_table(op, GESTURE_LATENCY_MS + 1)
 
 
 def test_error_kinds_match_closed_form_terms():

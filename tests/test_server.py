@@ -1,14 +1,16 @@
 """Session semantics and the TCP front end."""
 
+import contextlib
 import socket
 import threading
+import time
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mmfuse import protocol as wire
 from mmfuse.fusion import EventSource, FusionConfig
-from mmfuse.server import FusionServer, Session, run_session
+from mmfuse.server import FusionServer, Session, _Handler, run_session
 from mmfuse.vocab import COMMANDS, GESTURES, Gesture
 
 _EVENTS = st.one_of(
@@ -210,14 +212,33 @@ def test_session_accepts_custom_config():
     assert keep_open
 
 
-def test_tcp_round_trip():
-    server = FusionServer(("127.0.0.1", 0))
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+@contextlib.contextmanager
+def serving(server=None):
+    """A loopback server on an ephemeral port, served from a thread."""
+    server = server or FusionServer(("127.0.0.1", 0))
+    # a short poll keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            f = sock.makefile("rw", encoding="ascii", newline="")
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def connect(port):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+    return sock, sock.makefile("rw", encoding="utf-8", newline="")
+
+
+def test_tcp_round_trip():
+    with serving() as port:
+        sock, f = connect(port)
+        with sock, f:
             f.write("HELLO mmfuse/1\n")
             f.flush()
             assert f.readline() == "HELLO mmfuse/1\n"
@@ -228,25 +249,121 @@ def test_tcp_round_trip():
             f.write("BYE\n")
             f.flush()
             assert f.readline() == "BYE\n"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
 
 
 def test_tcp_parse_error_closes_connection():
-    server = FusionServer(("127.0.0.1", 0))
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            f = sock.makefile("rw", encoding="ascii", newline="")
+    with serving() as port:
+        sock, f = connect(port)
+        with sock, f:
             f.write("GIBBERISH\n")
             f.flush()
             assert f.readline().startswith("ERR 400 ")
             assert f.readline() == ""  # server hung up
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+
+
+def test_closed_loop_replies_do_not_stall():
+    # each line gets ACK and FUSED; a reply sent on its own would wait for
+    # the client's delayed ACK, about 40 ms a line
+    lines = [f"EVT GESTURE {i} {250 * i} WAVE_OUT\n" for i in range(1, 21)]
+    with serving() as port:
+        sock, f = connect(port)
+        with sock, f:
+            f.write("HELLO mmfuse/1\n")
+            f.flush()
+            assert f.readline() == "HELLO mmfuse/1\n"
+            start = time.perf_counter()
+            for i, line in enumerate(lines, 1):
+                f.write(line)
+                f.flush()
+                assert f.readline() == f"ACK {i}\n"
+                assert f.readline() == f"FUSED {250 * i} PIN5 GESTURE\n"
+            elapsed = time.perf_counter() - start
+    assert elapsed < 0.4, f"20 closed-loop lines took {elapsed * 1000:.0f} ms"
+
+
+class _RecordingWriter:
+    """Passes writes through to the socket and records each one."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _RecordingHandler(_Handler):
+    def setup(self):
+        super().setup()
+        self.wfile = _RecordingWriter(self.wfile, self.server.writes)
+
+
+def test_handler_writes_each_lines_replies_at_once():
+    lines = [
+        "HELLO mmfuse/1\n",
+        "EVT GESTURE 1 250 WAVE_OUT\n",
+        'EVT SPEECH 2 300 "move left"\n',
+        "EVT GESTURE 3 400 NONE\n",
+        'EVT SPEECH 4 900 "pass the salt"\n',
+        "EVT GESTURE 5 1000 NONE\n",
+        "EVT GESTURE 6 9000 FIST\n",
+        "BYE\n",
+    ]
+    session = Session()
+    expected = ["".join(session.handle_line(line)[0]) for line in lines]
+    server = FusionServer(("127.0.0.1", 0))
+    server.RequestHandlerClass = _RecordingHandler
+    server.writes = []
+    with serving(server) as port:
+        sock, f = connect(port)
+        with sock, f:
+            for line, replies in zip(lines, expected):
+                f.write(line)
+                f.flush()
+                for _ in range(replies.count("\n")):
+                    f.readline()
+            assert f.readline() == ""
+    assert server.writes == [r.encode("utf-8") for r in expected]
+    assert b"".join(server.writes) == "".join(run_session(lines)).encode("utf-8")
+
+
+def _refused(payload: bytes, want: str) -> None:
+    """Send ``payload`` after the handshake; expect ``want`` and then EOF."""
+    with serving() as port:
+        sock, f = connect(port)
+        with sock, f:
+            f.write("HELLO mmfuse/1\n")
+            f.flush()
+            assert f.readline() == "HELLO mmfuse/1\n"
+            sock.sendall(payload)
+            assert f.readline() == want
+            assert f.readline() == ""
+
+
+def test_line_at_the_cap_is_served():
+    head = 'EVT SPEECH 1 250 "'
+    line = head + "x" * (wire.MAX_LINE_BYTES - len(head) - 2) + '"\n'
+    assert len(line.encode("utf-8")) == wire.MAX_LINE_BYTES
+    with serving() as port:
+        sock, f = connect(port)
+        with sock, f:
+            f.write("HELLO mmfuse/1\n" + line)
+            f.flush()
+            assert f.readline() == "HELLO mmfuse/1\n"
+            assert f.readline() == "ACK 1\n"
+
+
+def test_oversized_line_closes_with_400():
+    # exactly one byte over, with no newline, so nothing is left unread
+    _refused(
+        b"E" * (wire.MAX_LINE_BYTES + 1),
+        f'ERR 400 "line exceeds {wire.MAX_LINE_BYTES} bytes (byte {wire.MAX_LINE_BYTES})"\n',
+    )
+
+
+def test_non_utf8_line_reports_byte_offset():
+    _refused(b'EVT SPEECH 1 250 "caf\xe9"\n', 'ERR 400 "invalid UTF-8 (byte 21)"\n')
