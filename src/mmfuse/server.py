@@ -11,6 +11,9 @@ and one the band's detector caught arrives as an empty capture (``NONE``).
 Sessions therefore draw no randomness: the replies depend only on the lines
 and the fusion config.
 
+One thread serves every connection from a selector loop; the replies to
+all the lines that one read brings in leave in a single send.
+
 Error codes: 400 protocol violation and 409 ordering violation close the
 connection; 503 (fallback failed) and 504 (window expired) report a failed
 episode and leave the session open for the next one.
@@ -18,8 +21,11 @@ episode and leave the session open for the next one.
 
 from __future__ import annotations
 
-import socketserver
-from typing import Iterable, List, Optional, Tuple
+import selectors
+import socket
+import threading
+import traceback
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import protocol as wire
 from .fusion import (
@@ -150,45 +156,212 @@ def run_session(
     return out
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        server: FusionServer = self.server  # type: ignore[assignment]
-        session = Session(cfg=server.cfg)
-        while True:
-            raw = self.rfile.readline(wire.MAX_LINE_BYTES + 1)
-            if not raw:
-                break
+#: Bytes taken from a socket per read; every whole line in them is answered
+#: before the next read.
+_RECV_BYTES = 65536
+
+
+class _Connection:
+    """One client socket, its session, and the bytes not yet parsed or sent."""
+
+    __slots__ = ("sock", "session", "inbox", "outbox", "closing", "events")
+
+    def __init__(self, sock: socket.socket, cfg: Optional[FusionConfig]) -> None:
+        self.sock = sock
+        self.session = Session(cfg=cfg)
+        self.inbox = b""
+        self.outbox = b""
+        self.closing = False
+        self.events = selectors.EVENT_READ
+
+    def answer(self, eof: bool) -> bytes:
+        """Replies to every whole line in the inbox, joined into one send.
+
+        Lines are cut where ``readline(MAX_LINE_BYTES + 1)`` would cut them,
+        so a line past the cap is refused at its first byte over; at end of
+        input a trailing partial line is answered too. Nothing after a reply
+        that closes the session is read.
+        """
+        cap = wire.MAX_LINE_BYTES + 1
+        inbox, start = self.inbox, 0
+        replies: List[str] = []
+        while not self.closing:
+            end = inbox.find(b"\n", start, start + cap) + 1
+            if not end:
+                if len(inbox) - start >= cap:
+                    end = start + cap
+                elif eof and start < len(inbox):
+                    end = len(inbox)
+                else:
+                    break
+            raw, start = inbox[start:end], end
             try:
                 line = wire.line_from_bytes(raw)
             except wire.ParseError as e:
-                replies, keep = session._violation(400, str(e))
+                out, keep = self.session._violation(400, str(e))
             else:
-                replies, keep = session.handle_line(line)
-            # one send per inbound line: wfile is unbuffered, and a second
-            # send would wait behind Nagle's algorithm for the client's
-            # delayed ACK (about 40 ms) before a closed-loop client could go on
-            self.wfile.write("".join(replies).encode("utf-8"))
-            if not keep:
-                break
+                out, keep = self.session.handle_line(line)
+            replies += out
+            self.closing = not keep
+        self.inbox = inbox[start:]
+        return "".join(replies).encode("utf-8")
 
 
-class FusionServer(socketserver.ThreadingTCPServer):
-    """TCP front end; one isolated session per connection."""
+class FusionServer:
+    """TCP front end; one isolated session per connection.
 
-    allow_reuse_address = True
-    daemon_threads = True
+    One thread serves every connection from a selector loop: a session is
+    serial and answers a line in microseconds, so no connection gets a
+    thread of its own. The surface is socketserver's: ``serve_forever`` on
+    a thread of the caller's, ``shutdown`` from another thread, then
+    ``server_close``.
+    """
 
     def __init__(
         self,
         address: Tuple[str, int] = ("127.0.0.1", wire.DEFAULT_PORT),
         cfg: Optional[FusionConfig] = None,
     ) -> None:
-        super().__init__(address, _Handler)
         self.cfg = cfg
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(address)
+            self.socket.listen()
+        except BaseException:
+            self.socket.close()
+            raise
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._conns: Dict[socket.socket, _Connection] = {}
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._shutdown_request = False
+        self._is_shut_down = threading.Event()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until :meth:`shutdown` is called from another thread.
+
+        ``poll_interval`` bounds each wait, as in socketserver; shutdown
+        wakes the loop at once either way.
+        """
+        self._is_shut_down.clear()
+        try:
+            with selectors.DefaultSelector() as sel:
+                sel.register(self.socket, selectors.EVENT_READ)
+                sel.register(self._wake_r, selectors.EVENT_READ)
+                for conn in self._conns.values():
+                    sel.register(conn.sock, conn.events, conn)
+                while not self._shutdown_request:
+                    for key, events in sel.select(poll_interval):
+                        if key.data is not None:
+                            self._on_ready(sel, key.data, events)
+                        elif key.fileobj is self.socket:
+                            self._accept(sel)
+                        else:
+                            self._drain_wake()
+        finally:
+            self._shutdown_request = False
+            self._is_shut_down.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._shutdown_request = True
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # the pipe is full, so the loop is already woken
+            pass
+        self._is_shut_down.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and every open connection."""
+        for sock in self._conns:
+            sock.close()
+        self._conns.clear()
+        self.socket.close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+    def __enter__(self) -> "FusionServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server_close()
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(256):
+                pass
+        except OSError:
+            pass
+
+    def _accept(self, sel: selectors.BaseSelector) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the client gave up already, or no descriptor is left
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, self.cfg)
+        self._conns[sock] = conn
+        sel.register(sock, conn.events, conn)
+
+    def _on_ready(self, sel: selectors.BaseSelector, conn: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_READ:
+                data = conn.sock.recv(_RECV_BYTES)
+                conn.inbox += data
+                conn.outbox = conn.answer(eof=not data)
+                conn.closing = conn.closing or not data
+            if conn.outbox:
+                self._send(conn)
+        except OSError:  # the peer reset or went away
+            self._close(sel, conn)
+            return
+        except Exception:
+            traceback.print_exc()
+            self._close(sel, conn)
+            return
+        if conn.outbox:
+            self._watch(sel, conn, selectors.EVENT_WRITE)
+        elif conn.closing:
+            self._close(sel, conn)
+        else:
+            self._watch(sel, conn, selectors.EVENT_READ)
+
+    def _send(self, conn: _Connection) -> None:
+        """Send what the socket takes of the outbox now.
+
+        Each read's replies leave in one send: a second small send would
+        wait behind Nagle's algorithm for the client's delayed ACK (about
+        40 ms) before a closed-loop client could go on.
+        """
+        try:
+            sent = conn.sock.send(conn.outbox)
+        except BlockingIOError:
+            return
+        conn.outbox = conn.outbox[sent:]
+
+    @staticmethod
+    def _watch(sel: selectors.BaseSelector, conn: _Connection, events: int) -> None:
+        # no reads while replies wait to go out, so a client that does not
+        # read cannot make the server buffer without bound
+        if conn.events != events:
+            conn.events = events
+            sel.modify(conn.sock, events, conn)
+
+    def _close(self, sel: selectors.BaseSelector, conn: _Connection) -> None:
+        sel.unregister(conn.sock)
+        del self._conns[conn.sock]
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        conn.sock.close()
 
 
 def serve(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mmfuse import protocol as wire
 from mmfuse.fusion import EventSource, FusionConfig
-from mmfuse.server import FusionServer, Session, _Handler, run_session
+from mmfuse.server import FusionServer, Session, run_session
 from mmfuse.vocab import COMMANDS, GESTURES, Gesture
 
 _EVENTS = st.one_of(
@@ -216,10 +216,7 @@ def test_session_accepts_custom_config():
 def serving(server=None):
     """A loopback server on an ephemeral port, served from a thread."""
     server = server or FusionServer(("127.0.0.1", 0))
-    # a short poll keeps shutdown() from waiting out the default 0.5 s
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         yield server.server_address[1]
@@ -281,28 +278,19 @@ def test_closed_loop_replies_do_not_stall():
     assert elapsed < 0.4, f"20 closed-loop lines took {elapsed * 1000:.0f} ms"
 
 
-class _RecordingWriter:
-    """Passes writes through to the socket and records each one."""
+class _RecordingServer(FusionServer):
+    """Records the bytes each send is given."""
 
-    def __init__(self, inner, writes):
-        self._inner = inner
-        self._writes = writes
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.writes = []
 
-    def write(self, data):
-        self._writes.append(bytes(data))
-        return self._inner.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def _send(self, conn):
+        self.writes.append(bytes(conn.outbox))
+        super()._send(conn)
 
 
-class _RecordingHandler(_Handler):
-    def setup(self):
-        super().setup()
-        self.wfile = _RecordingWriter(self.wfile, self.server.writes)
-
-
-def test_handler_writes_each_lines_replies_at_once():
+def test_each_lines_replies_leave_in_one_send():
     lines = [
         "HELLO mmfuse/1\n",
         "EVT GESTURE 1 250 WAVE_OUT\n",
@@ -315,9 +303,7 @@ def test_handler_writes_each_lines_replies_at_once():
     ]
     session = Session()
     expected = ["".join(session.handle_line(line)[0]) for line in lines]
-    server = FusionServer(("127.0.0.1", 0))
-    server.RequestHandlerClass = _RecordingHandler
-    server.writes = []
+    server = _RecordingServer(("127.0.0.1", 0))
     with serving(server) as port:
         sock, f = connect(port)
         with sock, f:
@@ -367,3 +353,67 @@ def test_oversized_line_closes_with_400():
 
 def test_non_utf8_line_reports_byte_offset():
     _refused(b'EVT SPEECH 1 250 "caf\xe9"\n', 'ERR 400 "invalid UTF-8 (byte 21)"\n')
+
+
+def _read_all(sock):
+    chunks = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(chunks)
+        chunks.append(data)
+
+
+def test_pipelined_transcript_matches_replay():
+    # far more replies than one send takes, sent while the client is still
+    # writing: the server stops reading until its replies are out
+    lines = [wire.encode(wire.Hello())]
+    for seq in range(1, 6001):
+        lines.append(f"EVT GESTURE {seq} {250 * seq} WAVE_OUT\n")
+    lines.append(wire.encode(wire.Bye()))
+    payload = "".join(lines).encode("utf-8")
+    with serving() as port:
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        with sock:
+            writer = threading.Thread(target=sock.sendall, args=(payload,))
+            writer.start()
+            got = _read_all(sock)
+            writer.join()
+    assert got == "".join(run_session(lines)).encode("utf-8")
+
+
+def test_partial_last_line_is_answered_at_eof():
+    with serving() as port:
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        with sock:
+            sock.sendall(b"HELLO mmfuse/1\nEVT GESTURE 1 250 FIST")
+            sock.shutdown(socket.SHUT_WR)
+            got = _read_all(sock).decode("utf-8")
+    assert got == "".join(
+        run_session(["HELLO mmfuse/1\n", "EVT GESTURE 1 250 FIST"])
+    )
+    assert got.splitlines()[-1].startswith("ERR 400 ")
+
+
+def test_connections_are_served_together_without_threads():
+    with serving() as port:
+        threads = threading.active_count()
+        a, fa = connect(port)
+        b, fb = connect(port)
+        with a, fa, b, fb:
+            # b is answered while a sits idle mid-session
+            fa.write("HELLO mmfuse/1\n")
+            fa.flush()
+            assert fa.readline() == "HELLO mmfuse/1\n"
+            fb.write("HELLO mmfuse/1\nEVT GESTURE 1 250 WAVE_OUT\n")
+            fb.flush()
+            assert [fb.readline() for _ in range(3)] == [
+                "HELLO mmfuse/1\n",
+                "ACK 1\n",
+                "FUSED 250 PIN5 GESTURE\n",
+            ]
+            fa.write("BYE\n")
+            fa.flush()
+            assert fa.readline() == "BYE\n"
+            assert fa.readline() == ""
+            assert threading.active_count() == threads
